@@ -171,7 +171,7 @@ fn time_replay(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let jobs = RunOptions::from_args().jobs.max(1);
+    let jobs = RunOptions::from_args().jobs;
     let jobs = if args.iter().any(|a| a == "--jobs") { jobs } else { host_parallelism };
     let out = args
         .iter()

@@ -8,6 +8,8 @@
 //! and `--jobs N` into [`RunOptions`] at the CLI layer and thread the
 //! options down explicitly — the library never sniffs `argv`.
 
+use std::fmt;
+
 use pmo_analyzer::{Analyzer, InspectPass, PermWindowPass};
 use pmo_protect::SchemeKind;
 use pmo_sim::{Replay, ReplayReport};
@@ -41,20 +43,59 @@ impl Default for RunOptions {
     }
 }
 
+/// A malformed `--jobs` argument. The campaign binaries print it and
+/// exit with status 2 rather than fall back to a serial run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum RunOptionsError {
+    /// `--jobs` was the last argument.
+    MissingJobs,
+    /// `--jobs` was followed by something other than a positive integer.
+    InvalidJobs(String),
+}
+
+impl fmt::Display for RunOptionsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunOptionsError::MissingJobs => f.write_str("--jobs needs a value"),
+            RunOptionsError::InvalidJobs(v) => {
+                write!(f, "--jobs expects a positive integer, got `{v}`")
+            }
+        }
+    }
+}
+
 impl RunOptions {
-    /// Parses `--no-audit` and `--jobs N` from the process arguments
-    /// (CLI-layer helper for the experiment binaries).
+    /// Parses `--no-audit` and `--jobs N` out of a full argument list
+    /// (other arguments are left to the caller).
+    ///
+    /// # Errors
+    ///
+    /// Fails when `--jobs` has no value, or a value that is not a
+    /// positive integer.
+    pub(crate) fn parse(args: &[String]) -> Result<Self, RunOptionsError> {
+        let jobs = match args.iter().position(|a| a == "--jobs") {
+            None => 1,
+            Some(i) => {
+                let value = args.get(i + 1).ok_or(RunOptionsError::MissingJobs)?;
+                match value.parse::<usize>() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err(RunOptionsError::InvalidJobs(value.clone())),
+                }
+            }
+        };
+        Ok(RunOptions { audit: !args.iter().any(|a| a == "--no-audit"), jobs })
+    }
+
+    /// [`RunOptions::parse`] over the process arguments — the campaign
+    /// binaries' CLI helper: on a malformed `--jobs` it prints the error
+    /// and exits the process with status 2.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let jobs = args
-            .iter()
-            .position(|a| a == "--jobs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
-        RunOptions { audit: !args.iter().any(|a| a == "--no-audit"), jobs }
+        Self::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
     }
 
     /// This configuration with parallelism stripped — for nested drivers
@@ -212,6 +253,35 @@ pub fn report_for(reports: &[ReplayReport], kind: SchemeKind) -> &ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("bin").chain(list.iter().copied()).map(String::from).collect()
+    }
+
+    #[test]
+    fn run_options_parse_jobs_and_audit() {
+        assert_eq!(RunOptions::parse(&args(&[])), Ok(RunOptions { audit: true, jobs: 1 }));
+        assert_eq!(
+            RunOptions::parse(&args(&["--full", "--jobs", "4", "--no-audit"])),
+            Ok(RunOptions { audit: false, jobs: 4 })
+        );
+    }
+
+    #[test]
+    fn run_options_reject_bad_jobs() {
+        assert_eq!(RunOptions::parse(&args(&["--jobs"])), Err(RunOptionsError::MissingJobs));
+        for bad in ["0", "-1", "four", "", "2.5", "--full"] {
+            assert_eq!(
+                RunOptions::parse(&args(&["--jobs", bad])),
+                Err(RunOptionsError::InvalidJobs(bad.to_string())),
+                "--jobs {bad:?}"
+            );
+        }
+        assert_eq!(
+            RunOptionsError::InvalidJobs("0".into()).to_string(),
+            "--jobs expects a positive integer, got `0`"
+        );
+    }
 
     fn tiny_micro() -> MicroConfig {
         MicroConfig {

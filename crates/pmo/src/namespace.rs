@@ -160,18 +160,31 @@ impl PoolEntry {
 /// attached by many readers or one writer ("a PMO may be attached
 /// exclusively to only one process for writing, but may be attached to
 /// multiple processes for reading").
-#[derive(Debug, Default)]
+///
+/// Pools live in a dense table indexed by [`PmoId::raw`]: ids are handed
+/// out in increasing order and never reused, so an id-based lookup (every
+/// runtime access makes one) is a bounds check and an index, and a
+/// destroyed pool leaves an empty slot its id keeps pointing at. A
+/// name-to-id index serves only the name-based calls.
+#[derive(Debug)]
 pub struct Namespace {
-    pools: BTreeMap<String, PoolEntry>,
-    names_by_id: BTreeMap<PmoId, String>,
-    next_id: u32,
+    /// Slot `i` holds the pool with id `i`; slot 0 (the NULL domain) and
+    /// destroyed pools are `None`. The next id is the table's length.
+    pools: Vec<Option<PoolEntry>>,
+    ids_by_name: BTreeMap<String, PmoId>,
+}
+
+impl Default for Namespace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Namespace {
     /// Creates an empty namespace.
     #[must_use]
     pub fn new() -> Self {
-        Namespace { pools: BTreeMap::new(), names_by_id: BTreeMap::new(), next_id: 1 }
+        Namespace { pools: vec![None], ids_by_name: BTreeMap::new() }
     }
 
     /// Registers a new pool; returns its stable PMO ID.
@@ -179,28 +192,24 @@ impl Namespace {
         if size == 0 {
             return Err(RuntimeError::InvalidSize(size));
         }
-        if self.pools.contains_key(name) {
+        if self.ids_by_name.contains_key(name) {
             return Err(RuntimeError::PoolExists(name.to_string()));
         }
-        let id = PmoId::new(self.next_id);
-        self.next_id += 1;
+        let id = PmoId::new(u32::try_from(self.pools.len()).expect("PMO ids fit in u32"));
         let mut storage = PoolStorage::new(size);
         storage.set_owner(id);
-        self.pools.insert(
-            name.to_string(),
-            PoolEntry {
-                id,
-                name: name.to_string(),
-                owner,
-                mode,
-                attach_key: None,
-                storage,
-                readers: 0,
-                writers: 0,
-                quarantined: None,
-            },
-        );
-        self.names_by_id.insert(id, name.to_string());
+        self.pools.push(Some(PoolEntry {
+            id,
+            name: name.to_string(),
+            owner,
+            mode,
+            attach_key: None,
+            storage,
+            readers: 0,
+            writers: 0,
+            quarantined: None,
+        }));
+        self.ids_by_name.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -268,21 +277,35 @@ impl Namespace {
     }
 
     /// Looks up a pool by ID.
+    #[inline]
     pub fn entry(&self, id: PmoId) -> Result<&PoolEntry> {
-        let name = self.names_by_id.get(&id).ok_or(RuntimeError::NotAttached(id))?;
-        Ok(&self.pools[name])
+        self.pools
+            .get(id.raw() as usize)
+            .and_then(Option::as_ref)
+            .ok_or(RuntimeError::NotAttached(id))
     }
 
     /// Looks up a pool mutably by ID.
+    #[inline]
     pub fn entry_mut(&mut self, id: PmoId) -> Result<&mut PoolEntry> {
-        let name = self.names_by_id.get(&id).ok_or(RuntimeError::NotAttached(id))?.clone();
-        Ok(self.pools.get_mut(&name).expect("indexes in sync"))
+        self.pools
+            .get_mut(id.raw() as usize)
+            .and_then(Option::as_mut)
+            .ok_or(RuntimeError::NotAttached(id))
+    }
+
+    fn id_of(&self, name: &str) -> Result<PmoId> {
+        self.ids_by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
     }
 
     /// Looks up a pool mutably by name (the scrub/quarantine-release
     /// path operates on pools that may refuse ID-based attach).
     pub fn entry_mut_by_name(&mut self, name: &str) -> Result<&mut PoolEntry> {
-        self.pools.get_mut(name).ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
+        let id = self.id_of(name)?;
+        Ok(self.entry_mut(id).expect("name index in sync"))
     }
 
     /// Destroys a pool and its data. Only the owner may destroy it, and
@@ -299,20 +322,20 @@ impl Namespace {
             return Err(RuntimeError::ExclusivelyHeld(name.to_string()));
         }
         let id = entry.id;
-        self.pools.remove(name);
-        self.names_by_id.remove(&id);
+        self.pools[id.raw() as usize] = None;
+        self.ids_by_name.remove(name);
         Ok(())
     }
 
-    /// Iterates over registered pool names.
+    /// Iterates over registered pool names, in name order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.pools.keys().map(String::as_str)
+        self.ids_by_name.keys().map(String::as_str)
     }
 
     /// Whether a pool with this name exists.
     #[must_use]
     pub fn contains(&self, name: &str) -> bool {
-        self.pools.contains_key(name)
+        self.ids_by_name.contains_key(name)
     }
 
     /// A pool's current health.
@@ -321,29 +344,26 @@ impl Namespace {
     ///
     /// Fails if no pool with this name exists.
     pub fn health(&self, name: &str) -> Result<PoolHealth> {
-        self.pools
-            .get(name)
-            .map(PoolEntry::health)
-            .ok_or_else(|| RuntimeError::NoSuchPool(name.to_string()))
+        Ok(self.entry(self.id_of(name)?).expect("name index in sync").health())
     }
 
     /// Number of registered pools.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pools.len()
+        self.ids_by_name.len()
     }
 
     /// Whether no pools are registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.pools.is_empty()
+        self.ids_by_name.is_empty()
     }
 
     /// Simulates machine power loss: every pool's unflushed lines revert
     /// and all attachment locks evaporate. Returns total lines lost.
     pub fn crash_all(&mut self) -> u64 {
         let mut lost = 0;
-        for entry in self.pools.values_mut() {
+        for entry in self.pools.iter_mut().flatten() {
             lost += entry.storage.crash();
             entry.readers = 0;
             entry.writers = 0;
@@ -480,6 +500,73 @@ mod tests {
         ns.destroy("sick", 1).unwrap();
         ns.create("sick", 4096, Mode::shared_write(), 1).unwrap();
         assert!(ns.acquire("sick", 1, AttachIntent::ReadWrite, None).is_ok());
+    }
+
+    #[test]
+    fn recreated_name_gets_a_fresh_id_and_the_old_id_is_dead() {
+        let mut ns = Namespace::new();
+        let old = ns.create("p", 4096, Mode::private(), 1).unwrap();
+        ns.create("q", 4096, Mode::private(), 1).unwrap();
+        ns.destroy("p", 1).unwrap();
+        assert!(matches!(ns.entry(old), Err(RuntimeError::NotAttached(id)) if id == old));
+        assert!(matches!(ns.entry_mut(old), Err(RuntimeError::NotAttached(id)) if id == old));
+        assert!(matches!(ns.release(old, AttachIntent::Read), Err(RuntimeError::NotAttached(_))));
+        let new = ns.create("p", 4096, Mode::private(), 1).unwrap();
+        assert!(new > old, "ids are never reused");
+        assert_eq!(ns.entry(new).unwrap().name, "p");
+        assert!(ns.entry(old).is_err(), "the old id stays dead after the name returns");
+        assert_eq!(ns.acquire("p", 1, AttachIntent::Read, None).unwrap(), new);
+        assert_eq!(ns.len(), 2);
+    }
+
+    #[test]
+    fn names_are_listed_in_name_order() {
+        let mut ns = Namespace::new();
+        for name in ["mid", "zeta", "alpha", "beta"] {
+            ns.create(name, 4096, Mode::private(), 1).unwrap();
+        }
+        ns.destroy("beta", 1).unwrap();
+        ns.create("aaa", 4096, Mode::private(), 1).unwrap();
+        assert_eq!(ns.names().collect::<Vec<_>>(), ["aaa", "alpha", "mid", "zeta"]);
+    }
+
+    #[test]
+    fn crash_all_totals_every_pools_unflushed_lines() {
+        let mut ns = Namespace::new();
+        let a = ns.create("a", 1 << 16, Mode::private(), 1).unwrap();
+        let b = ns.create("b", 1 << 16, Mode::private(), 1).unwrap();
+        let gone = ns.create("gone", 1 << 16, Mode::private(), 1).unwrap();
+        // a: three unflushed lines, one flushed; b: one line; gone: two
+        // lines, but destroyed before the crash.
+        let storage = &mut ns.entry_mut(a).unwrap().storage;
+        storage.write(0, &[1; 64 * 4]).unwrap();
+        storage.flush_line(0);
+        ns.entry_mut(b).unwrap().storage.write(4096, &[2; 8]).unwrap();
+        ns.entry_mut(gone).unwrap().storage.write(0, &[3; 128]).unwrap();
+        ns.destroy("gone", 1).unwrap();
+        ns.acquire("a", 1, AttachIntent::ReadWrite, None).unwrap();
+        assert_eq!(ns.crash_all(), 4);
+        assert_eq!(ns.entry_mut(a).unwrap().readers + ns.entry_mut(a).unwrap().writers, 0);
+        assert_eq!(ns.crash_all(), 0, "nothing left to lose");
+    }
+
+    #[test]
+    fn scrub_and_quarantine_work_by_name() {
+        let mut ns = Namespace::new();
+        let id = ns.create("sick", 4096, Mode::private(), 1).unwrap();
+        ns.create("other", 4096, Mode::private(), 1).unwrap();
+        let entry = ns.entry_mut_by_name("sick").unwrap();
+        assert_eq!(entry.id, id);
+        entry.quarantined = Some("bad magic");
+        assert_eq!(ns.health("sick").unwrap(), PoolHealth::Quarantined);
+        assert_eq!(ns.health("other").unwrap(), PoolHealth::Healthy);
+        assert!(matches!(ns.health("ghost"), Err(RuntimeError::NoSuchPool(_))));
+        assert!(matches!(ns.entry_mut_by_name("ghost"), Err(RuntimeError::NoSuchPool(_))));
+        let entry = ns.entry_mut_by_name("sick").unwrap();
+        entry.storage.scrub();
+        assert_eq!(entry.release_quarantine().unwrap(), Some("bad magic"));
+        assert_eq!(ns.health("sick").unwrap(), PoolHealth::Healthy);
+        assert_eq!(ns.acquire("sick", 1, AttachIntent::ReadWrite, None).unwrap(), id);
     }
 
     #[test]

@@ -96,7 +96,9 @@ struct ActiveTxn {
 pub struct PmRuntime {
     ns: Namespace,
     aspace: AddressSpace,
-    attached: BTreeMap<PmoId, Attachment>,
+    /// Live attachments indexed by [`PmoId::raw`], like the namespace's
+    /// pool table: every access resolves its attachment by index.
+    attached: Vec<Option<Attachment>>,
     free_lists: BTreeMap<PmoId, BTreeMap<u64, Vec<u32>>>,
     uid: Uid,
     last_recovery: Option<RecoveryReport>,
@@ -116,7 +118,7 @@ impl PmRuntime {
         PmRuntime {
             ns: Namespace::new(),
             aspace: AddressSpace::new(),
-            attached: BTreeMap::new(),
+            attached: Vec::new(),
             free_lists: BTreeMap::new(),
             uid: 0,
             last_recovery: None,
@@ -247,7 +249,7 @@ impl PmRuntime {
         sink: &mut dyn TraceSink,
     ) -> Result<PmoId> {
         let id = self.ns.acquire(name, self.uid, intent, key)?;
-        if self.attached.contains_key(&id) {
+        if self.attachment(id).is_ok() {
             self.ns.release(id, intent)?;
             return Err(RuntimeError::AlreadyAttached(id));
         }
@@ -256,8 +258,12 @@ impl PmRuntime {
             self.ns.release(id, intent)?;
             return Err(RuntimeError::OutOfMemory { pmo: id, requested: size });
         };
-        self.attached
-            .insert(id, Attachment { id, name: name.to_string(), base, region, size, intent });
+        let slot = id.raw() as usize;
+        if self.attached.len() <= slot {
+            self.attached.resize_with(slot + 1, || None);
+        }
+        self.attached[slot] =
+            Some(Attachment { id, name: name.to_string(), base, region, size, intent });
         sink.event(TraceEvent::Attach { pmo: id, base, size, nvm: true });
         match self.recover(id, sink) {
             Ok(report) => {
@@ -269,7 +275,7 @@ impl PmRuntime {
                 // roll the attach back completely so no half-attached state
                 // lingers — release the VA reservation and the namespace
                 // lock, and undo the trace event.
-                let att = self.attached.remove(&id).expect("inserted above");
+                let att = self.detach_slot(id).expect("inserted above");
                 self.aspace.release(att.base, att.region);
                 self.ns.release(id, intent)?;
                 sink.event(TraceEvent::Detach { pmo: id });
@@ -285,7 +291,7 @@ impl PmRuntime {
     ///
     /// Fails if the pool is not attached.
     pub fn pool_close(&mut self, id: PmoId, sink: &mut dyn TraceSink) -> Result<()> {
-        let att = self.attached.remove(&id).ok_or(RuntimeError::NotAttached(id))?;
+        let att = self.detach_slot(id)?;
         self.aspace.release(att.base, att.region);
         self.free_lists.remove(&id);
         self.ns.release(id, att.intent)?;
@@ -486,14 +492,7 @@ impl PmRuntime {
     ///
     /// Fails if the OID's pool is not attached or the offset is outside it.
     pub fn oid_direct(&self, oid: Oid) -> Result<Va> {
-        let att = self.attachment(oid.pool())?;
-        if u64::from(oid.offset()) >= att.size {
-            return Err(RuntimeError::InvalidOid {
-                oid: oid.to_raw(),
-                reason: "offset beyond pool size",
-            });
-        }
-        Ok(att.base + u64::from(oid.offset()))
+        self.resolve(oid).map(|(_, va)| va)
     }
 
     // ---------------------------------------------------------------
@@ -553,8 +552,7 @@ impl PmRuntime {
         sink: &mut dyn TraceSink,
     ) -> Result<()> {
         let oid = oid.add(delta);
-        let va = self.oid_direct(oid)?;
-        let att = self.attachment(oid.pool())?;
+        let (att, va) = self.resolve(oid)?;
         if !att.intent.writes() {
             return Err(RuntimeError::AccessViolation {
                 pmo: oid.pool(),
@@ -811,7 +809,7 @@ impl PmRuntime {
     ///
     /// Fails if the pool is not attached.
     pub fn crash_pool(&mut self, id: PmoId, sink: &mut dyn TraceSink) -> Result<u64> {
-        let att = self.attached.remove(&id).ok_or(RuntimeError::NotAttached(id))?;
+        let att = self.detach_slot(id)?;
         if self.txn.as_ref().is_some_and(|t| t.pool == id) {
             self.txn = None;
         }
@@ -825,13 +823,39 @@ impl PmRuntime {
     }
 
     /// Info about one attachment.
+    #[inline]
     pub fn attachment(&self, id: PmoId) -> Result<&Attachment> {
-        self.attached.get(&id).ok_or(RuntimeError::NotAttached(id))
+        self.attached
+            .get(id.raw() as usize)
+            .and_then(Option::as_ref)
+            .ok_or(RuntimeError::NotAttached(id))
     }
 
-    /// Iterates over all current attachments.
+    /// Iterates over all current attachments, in PMO ID order.
     pub fn attachments(&self) -> impl Iterator<Item = &Attachment> {
-        self.attached.values()
+        self.attached.iter().flatten()
+    }
+
+    fn detach_slot(&mut self, id: PmoId) -> Result<Attachment> {
+        self.attached
+            .get_mut(id.raw() as usize)
+            .and_then(Option::take)
+            .ok_or(RuntimeError::NotAttached(id))
+    }
+
+    /// The attachment `oid` lies in and its virtual address: the checks
+    /// of [`PmRuntime::oid_direct`] with the attachment handed back, so an
+    /// accessor resolves it once.
+    #[inline]
+    fn resolve(&self, oid: Oid) -> Result<(&Attachment, Va)> {
+        let att = self.attachment(oid.pool())?;
+        if u64::from(oid.offset()) >= att.size {
+            return Err(RuntimeError::InvalidOid {
+                oid: oid.to_raw(),
+                reason: "offset beyond pool size",
+            });
+        }
+        Ok((att, att.base + u64::from(oid.offset())))
     }
 
     // ---------------------------------------------------------------
